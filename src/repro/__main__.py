@@ -176,7 +176,6 @@ def cmd_mail(args: argparse.Namespace) -> int:
         algorithm=args.algorithm,
         plan_cache=False if args.no_plan_cache else None,
         memoize=not args.no_memo,
-        fast_path=fast,
         compile_routes=fast,
         proxy_fast_path=fast,
         batch_coherence=fast,
@@ -637,85 +636,6 @@ def cmd_load_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_parallel_sim(args: argparse.Namespace) -> int:
-    """Conservative parallel kernel demo on the Figure-5 topology: the
-    three sites become three logical processes (lookahead = min
-    inter-site latency) hosting the deterministic site-traffic workload
-    on ``--workers`` processes.  ``--check-determinism`` re-runs the
-    identical workload single-process and asserts equal run signatures
-    — worker count is placement, never physics."""
-    import json as _json
-    import os
-
-    from .experiments.topology_fig5 import build_fig5_network
-    from .sim.parallel import (
-        TrafficConfig,
-        partition_network,
-        run_parallel,
-        site_traffic_program,
-    )
-
-    topo = build_fig5_network(clients_per_site=args.clients)
-    plan = partition_network(topo.network, credential=args.credential)
-    for line in plan.describe():
-        log.info(f"parallel-sim: {line}")
-
-    config = TrafficConfig(
-        seed=args.seed,
-        messages_per_client=args.messages,
-        remote_fraction=args.remote_fraction,
-        think_mean_ms=args.think_mean,
-    )
-    result = run_parallel(
-        topo.network, site_traffic_program, config,
-        workers=args.workers, until=args.until, plan=plan,
-        deadlock_timeout_s=args.deadlock_timeout,
-    )
-    counters = result.merged_counters()
-    log.info(
-        f"parallel-sim: workers={result.workers_used} "
-        f"events={result.total_events} wall={result.wall_s:.3f}s "
-        f"({result.events_per_sec:,.0f} events/s)"
-    )
-    log.info(f"parallel-sim: counters={counters}")
-    log.info(f"parallel-sim: signature={result.signature()[:16]}")
-
-    rc = 0
-    artifact = {"kind": "parallel-sim", "run": result.as_dict()}
-    if args.check_determinism:
-        single = run_parallel(
-            topo.network, site_traffic_program, config,
-            workers=1, until=args.until, plan=plan,
-            deadlock_timeout_s=args.deadlock_timeout,
-        )
-        match = single.signature() == result.signature()
-        artifact["determinism"] = {
-            "single_signature": single.signature(),
-            "parallel_signature": result.signature(),
-            "match": match,
-        }
-        if match:
-            log.info(
-                f"parallel-sim: determinism OK — workers=1 and "
-                f"workers={result.workers_used} signatures match"
-            )
-        else:
-            log.error(
-                "parallel-sim: DETERMINISM VIOLATION — "
-                f"workers=1 {single.signature()[:16]} != "
-                f"workers={result.workers_used} {result.signature()[:16]}"
-            )
-            rc = 1
-    if args.json:
-        parent = os.path.dirname(args.json)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(args.json, "w") as fh:
-            _json.dump(artifact, fh, indent=2)
-        log.info(f"parallel-sim: wrote artifact to {args.json}")
-    return rc
-
-
 def main(argv=None) -> int:
     obs_parser = argparse.ArgumentParser(add_help=False)
     group = obs_parser.add_argument_group("observability")
@@ -744,9 +664,9 @@ def main(argv=None) -> int:
                          "instead of seeding from the previous plan's "
                          "surviving placements")
     fp.add_argument("--no-fast-path", action="store_true",
-                    help="disable every runtime hot-path variant (kernel "
-                         "tight loop, compiled routes, proxy fast path, "
-                         "batched coherence fan-out, crypto memo caches); "
+                    help="disable every runtime hot-path variant (compiled "
+                         "routes, proxy fast path, batched coherence "
+                         "fan-out, crypto memo caches); "
                          "simulated results are identical either way")
 
     parser = argparse.ArgumentParser(
@@ -1000,41 +920,6 @@ def main(argv=None) -> int:
                         "N worker processes (cells and signatures are "
                         "identical to a sequential sweep)")
     p.set_defaults(fn=cmd_load_sweep)
-
-    p = sub.add_parser(
-        "parallel-sim",
-        help="conservative parallel DES demo on the Figure-5 sites",
-        parents=[obs_parser],
-    )
-    p.add_argument("--workers", type=int, default=4, metavar="N",
-                   help="worker processes (capped at the partition count; "
-                        "1 = in-process, same protocol)")
-    p.add_argument("--clients", type=int, default=5,
-                   help="client nodes per site (Figure-5 topology)")
-    p.add_argument("--messages", type=int, default=200,
-                   help="messages each client sends")
-    p.add_argument("--remote-fraction", type=float, default=0.05,
-                   help="probability a message crosses sites")
-    p.add_argument("--think-mean", type=float, default=40.0,
-                   help="mean exponential think time between messages (ms)")
-    p.add_argument("--until", type=float, default=30_000.0,
-                   help="simulation horizon (sim ms, exclusive)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--credential", default="site",
-                   help="node credential to partition by (fallback: "
-                        "latency min-cut)")
-    p.add_argument("--check-determinism", action="store_true",
-                   help="re-run single-process and require identical "
-                        "run signatures")
-    p.add_argument("--deadlock-timeout", type=float, default=60.0,
-                   metavar="S",
-                   help="per-worker no-progress tripwire in wall seconds "
-                        "(default 60); raise for legitimately slow "
-                        "workloads")
-    p.add_argument("--json", metavar="PATH", default=None,
-                   help="write the run artifact (plan, per-partition "
-                        "results, signature) as JSON to PATH")
-    p.set_defaults(fn=cmd_parallel_sim)
 
     args = parser.parse_args(argv)
     configure_logging(level=args.log_level, json_output=args.log_json)

@@ -49,7 +49,6 @@ def build_mail_testbed(
     users=DEFAULT_USERS,
     plan_cache=None,
     memoize: bool = True,
-    fast_path: bool = True,
     compile_routes: bool = True,
     proxy_fast_path: bool = True,
     batch_coherence: bool = True,
@@ -59,7 +58,6 @@ def build_mail_testbed(
     obs=None,
     overload_protection: Any = False,
     autonomic: Any = False,
-    parallel: Any = False,
     lookup_replicas: int = 1,
     lookup_hosts=None,
     lookup_leases: Any = False,
@@ -81,9 +79,8 @@ def build_mail_testbed(
     :class:`~repro.planner.Planner` (``plan_cache=False`` disables plan
     caching; ``memoize=False`` disables validity-check memoization).
 
-    ``fast_path`` / ``compile_routes`` / ``proxy_fast_path`` /
-    ``batch_coherence`` / ``versioned_coherence`` pass through to
-    :class:`SmockRuntime` — the
+    ``compile_routes`` / ``proxy_fast_path`` / ``batch_coherence`` /
+    ``versioned_coherence`` pass through to :class:`SmockRuntime` — the
     runtime hot-path knobs (see ARCHITECTURE.md), used by the
     determinism tests to pin fast-on vs fast-off equivalence.
 
@@ -103,11 +100,6 @@ def build_mail_testbed(
     :class:`~repro.autonomic.AutonomicConfig` — defaulting the sampler
     to 500 ms when ``telemetry_interval_ms`` is unset — or pass a
     config instance / kwargs dict.
-
-    ``parallel`` passes through to :class:`SmockRuntime`: ``False``
-    (default) constructs nothing — byte-identical runs — while an int N
-    enables ``runtime.run_parallel_traffic`` on N conservative worker
-    processes (see :mod:`repro.sim.parallel`).
 
     ``lookup_replicas`` / ``lookup_hosts`` / ``lookup_leases`` /
     ``directory_journal`` / ``directory_host`` pass through to
@@ -140,7 +132,6 @@ def build_mail_testbed(
         view_policy=view_policy,
         plan_cache=plan_cache,
         memoize=memoize,
-        fast_path=fast_path,
         compile_routes=compile_routes,
         proxy_fast_path=proxy_fast_path,
         batch_coherence=batch_coherence,
@@ -150,7 +141,6 @@ def build_mail_testbed(
         obs=obs,
         overload_protection=overload_protection,
         autonomic=autonomic,
-        parallel=parallel,
         lookup_replicas=lookup_replicas,
         lookup_hosts=lookup_hosts,
         lookup_leases=lookup_leases,

@@ -36,14 +36,10 @@ class Observability:
         *,
         tracing: bool = True,
         metrics: bool = True,
-        capture_sim_events: bool = False,
     ) -> None:
         self.recorder = TraceRecorder()
         self.tracer = Tracer(enabled=tracing, recorder=self.recorder)
         self.metrics = MetricsRegistry(enabled=metrics)
-        #: emit a ``sim.dispatch`` event per simulator step (verbose;
-        #: off by default even when tracing is on)
-        self.capture_sim_events = capture_sim_events
 
     @property
     def enabled(self) -> bool:

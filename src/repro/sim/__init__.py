@@ -9,11 +9,9 @@ router) with a deterministic, seeded simulator.  Public surface:
 - :class:`SimNode` — host with CPU capacity + credentials
 - :class:`SimLink` — latency/bandwidth link with security credential
 
-The conservative parallel kernel lives in :mod:`repro.sim.parallel`
-(imported on demand — it depends on :mod:`repro.network`, which in turn
-imports this package, so an eager import here would be circular).  Its
-front doors are ``Simulator.run_parallel`` and
-``repro.sim.parallel.run_parallel``.
+The kernel is sequential: one heap, one clock, one dispatch loop.
+Experiments that want more cores run independent cells in separate
+processes (``run_load_sweep(parallel=N)``), never one cell across them.
 """
 
 from .arrivals import (
@@ -29,7 +27,6 @@ from .events import (
     AnyOf,
     Event,
     FaultError,
-    Injected,
     LinkDownError,
     NodeDownError,
     SimulationError,
@@ -38,13 +35,12 @@ from .events import (
 from .node import SimNode
 from .process import Interrupt, Process
 from .resources import Monitor, Resource, Store
-from .transport import LOCALHOST_LINK_ID, SimHalfLink, SimLink, transfer_time_ms
+from .transport import LOCALHOST_LINK_ID, SimLink, transfer_time_ms
 
 __all__ = [
     "Simulator",
     "Event",
     "Timeout",
-    "Injected",
     "AnyOf",
     "AllOf",
     "SimulationError",
@@ -58,7 +54,6 @@ __all__ = [
     "Monitor",
     "SimNode",
     "SimLink",
-    "SimHalfLink",
     "transfer_time_ms",
     "LOCALHOST_LINK_ID",
     "ArrivalProcess",

@@ -17,7 +17,6 @@ from typing import Any, Callable, List, Optional
 __all__ = [
     "Event",
     "Timeout",
-    "Injected",
     "AnyOf",
     "AllOf",
     "SimulationError",
@@ -131,26 +130,6 @@ class Timeout(Event):
         self._triggered = True  # scheduled immediately, fires later
         self._value = value
         sim._schedule(sim.now + delay, self)
-
-
-class Injected(Event):
-    """An event merged in from outside this simulator's timeline.
-
-    The parallel kernel's ingress path wraps each cross-partition
-    message in one of these: it is created already *triggered* (like a
-    :class:`Timeout`) and pushed onto the heap via
-    ``Simulator.schedule_external`` under the sender's ``(origin, seq)``
-    key, so the receiving partition dispatches it at exactly the
-    timestamp and total-order position the sender stamped.  ``payload``
-    carries the raw cross-partition message.
-    """
-
-    __slots__ = ("payload",)
-
-    def __init__(self, sim: Any, payload: Any = None) -> None:
-        super().__init__(sim)
-        self.payload = payload
-        self._triggered = True  # dispatched when its heap key surfaces
 
 
 class _Condition(Event):

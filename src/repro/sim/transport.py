@@ -19,7 +19,7 @@ from .engine import Simulator
 from .events import Event, LinkDownError
 from .resources import Monitor, Resource
 
-__all__ = ["SimLink", "SimHalfLink", "transfer_time_ms", "LOCALHOST_LINK_ID"]
+__all__ = ["SimLink", "transfer_time_ms", "LOCALHOST_LINK_ID"]
 
 #: Identifier used for intra-node (loopback) communication.
 LOCALHOST_LINK_ID = "__loopback__"
@@ -136,63 +136,4 @@ class SimLink:
         return (
             f"<SimLink {self.name} {self.latency_ms}ms/"
             f"{self.bandwidth_mbps}Mbps {sec}>"
-        )
-
-
-class SimHalfLink:
-    """The sender-side half of a link whose far end lives in another
-    partition of a parallel run.
-
-    Links are full-duplex, so each direction's transmit queue is owned
-    entirely by its *sending* endpoint — nothing about serialization is
-    shared state.  The parallel kernel therefore models a cut link as
-    two independent half-links: the sender holds the transmit resource
-    and pays serialization locally, and the propagation latency is
-    stamped into the cross-partition message's delivery time.  Because
-    that latency is exactly the channel's lookahead, every delivery
-    lands at or beyond the receiver's guaranteed horizon.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        src: str,
-        dst: str,
-        latency_ms: float,
-        bandwidth_mbps: float,
-        name: Optional[str] = None,
-    ) -> None:
-        if latency_ms < 0:
-            raise ValueError(f"negative latency: {latency_ms}")
-        self.sim = sim
-        self.src = src
-        self.dst = dst
-        self.latency_ms = latency_ms
-        self.bandwidth_mbps = bandwidth_mbps
-        self.name = name or f"{src}->{dst}"
-        self._tx = Resource(sim, 1)
-        self.bytes_carried = 0
-
-    def serialization_ms(self, size_bytes: int) -> float:
-        """Time to clock ``size_bytes`` onto the wire (no latency)."""
-        if self.bandwidth_mbps <= 0:
-            return 0.0
-        return (size_bytes * 8) / (self.bandwidth_mbps * 1e6) * 1e3
-
-    def transmit(self, size_bytes: int) -> Generator[Event, Any, None]:
-        """Process generator: serialize onto the wire behind earlier
-        sends in this direction.  On return the payload is "in flight";
-        the caller posts it to the far partition with delivery time
-        ``sim.now + latency_ms``."""
-        yield self._tx.request()
-        try:
-            yield self.sim.timeout(self.serialization_ms(size_bytes))
-        finally:
-            self._tx.release()
-        self.bytes_carried += size_bytes
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<SimHalfLink {self.name} {self.latency_ms}ms/"
-            f"{self.bandwidth_mbps}Mbps>"
         )

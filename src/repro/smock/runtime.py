@@ -74,7 +74,6 @@ class SmockRuntime:
         obs: Optional[Observability] = None,
         plan_cache: Any = None,
         memoize: bool = True,
-        fast_path: bool = True,
         compile_routes: bool = True,
         proxy_fast_path: bool = True,
         batch_coherence: bool = True,
@@ -84,7 +83,6 @@ class SmockRuntime:
         flight: Any = None,
         overload_protection: Any = False,
         autonomic: Any = False,
-        parallel: Any = False,
         lookup_replicas: int = 1,
         lookup_hosts: Optional[List[str]] = None,
         lookup_leases: Any = False,
@@ -107,7 +105,7 @@ class SmockRuntime:
         #: restores the fail-stop protocol byte for byte — no version
         #: stamps, no frontier dedup, no degraded mode, no anti-entropy.
         self.versioned_coherence = versioned_coherence
-        self.sim = sim or Simulator(obs=self.obs, fast_path=fast_path)
+        self.sim = sim or Simulator(obs=self.obs)
         #: overload protection (see smock.overload): ``False``/``None``
         #: constructs nothing — every hot path guards on
         #: ``runtime.overload is None`` and stays byte-identical to a
@@ -126,16 +124,6 @@ class SmockRuntime:
             self.overload = OverloadManager(
                 self.sim, config, metrics=self.obs.metrics
             )
-        #: parallel-kernel knob (see repro.sim.parallel): ``False``/``None``
-        #: constructs nothing — the runtime drives the sequential kernel
-        #: byte for byte as before; an int N enables
-        #: :meth:`run_parallel_traffic`, which executes site-partitioned
-        #: workloads on N conservative worker processes.  The runtime's
-        #: own request path stays sequential either way (its state is
-        #: globally shared; only partition-local workloads parallelize).
-        self.parallel: Optional[int] = None
-        if parallel:
-            self.parallel = max(1, int(parallel))
         if self.obs.tracer.enabled:
             # An externally-supplied simulator may carry a different (or
             # null) obs; bind our tracer to whichever clock we ended up
@@ -632,42 +620,6 @@ class SmockRuntime:
         """Run one process generator to completion on the simulator."""
         proc = self.sim.process(generator, name=name)
         return self.sim.run_until_complete(proc)
-
-    def run_parallel_traffic(
-        self,
-        config: Any = None,
-        *,
-        until: float,
-        program: Any = None,
-        credential: str = "site",
-    ) -> Any:
-        """Run a site-partitioned workload over this runtime's topology
-        on the conservative parallel kernel (requires the ``parallel``
-        constructor knob).
-
-        ``program`` defaults to
-        :func:`repro.sim.parallel.site_traffic_program` and ``config``
-        to its :class:`~repro.sim.parallel.TrafficConfig`.  The workload
-        runs on a *fresh* set of simulators partitioned from
-        ``self.network`` — the runtime's own simulator and state are
-        untouched, so a knobs-off runtime stays byte-identical.  Returns
-        a :class:`~repro.sim.parallel.ParallelRunResult`.
-        """
-        if self.parallel is None:
-            raise RuntimeError(
-                "construct the runtime with SmockRuntime(..., parallel=N) "
-                "to enable run_parallel_traffic"
-            )
-        from ..sim.parallel import run_parallel, site_traffic_program
-
-        return run_parallel(
-            self.network,
-            program or site_traffic_program,
-            config,
-            workers=self.parallel,
-            until=until,
-            credential=credential,
-        )
 
     def instance_of(
         self, unit_name: str, node: Optional[str] = None, service: Optional[str] = None

@@ -142,16 +142,6 @@ class RuntimeTransport:
     def link(self, a: str, b: str) -> SimLink:
         return self.links[_key(a, b)]
 
-    def partition_plan(self, credential: str = "site"):
-        """How the parallel kernel would split this topology: a
-        :class:`~repro.sim.parallel.PartitionPlan` (site-credential
-        grouping with the latency min-cut fallback).  Purely advisory —
-        computing it mutates nothing — and handy for sizing ``workers=``
-        before a :meth:`SmockRuntime.run_parallel_traffic` run."""
-        from ..sim.parallel import partition_network
-
-        return partition_network(self.network, credential=credential)
-
     # -- route compilation -------------------------------------------------
     def _compile(self, src: str, dst: str) -> CompiledRoute:
         """Flatten the current lowest-latency path into a hop schedule."""

@@ -1,8 +1,7 @@
 """Fast-path-on vs fast-path-off runs must be indistinguishable.
 
-The runtime hot-path overhaul (kernel fast dispatch, route-compiled
-transport, proxy/server fast paths, batched coherence fan-out, crypto
-memo caches) exists purely to cut host wall-clock: every knob promises
+The runtime hot-path overhaul (route-compiled transport, proxy/server
+fast paths, batched coherence fan-out, crypto memo caches) exists purely to cut host wall-clock: every knob promises
 *bit-identical simulated results*.  These tests pin that promise on the
 full mail scenario — same event schedule length, same simulated clock,
 same per-send latencies to the last ulp, same coherence counters — for
@@ -22,7 +21,6 @@ from repro.services.mail import crypto
 
 #: every hot-path knob, each flipped to its "off" (slow-path) setting
 KNOBS = {
-    "fast_path": False,          # sim kernel tight loop
     "compile_routes": False,     # route-compiled transport
     "proxy_fast_path": False,    # bind-time-resolved proxy path
     "batch_coherence": False,    # per-config coherence fan-out

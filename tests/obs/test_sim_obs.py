@@ -1,4 +1,4 @@
-"""Simulator observability: clock binding, dispatch events, trace shim."""
+"""Simulator observability: clock binding and the dispatched-event counter."""
 
 from repro.obs import Observability
 from repro.sim import Simulator
@@ -30,7 +30,9 @@ def test_events_dispatched_counter():
     assert count > 0
 
 
-def test_capture_sim_events_off_by_default():
+def test_no_dispatch_events_recorded():
+    """The kernel emits no per-event trace records: tracing on records
+    spans and explicit events only."""
     obs = Observability()
     sim = Simulator(obs=obs)
     sim.process(_two_step_process(sim))
@@ -38,40 +40,6 @@ def test_capture_sim_events_off_by_default():
     assert obs.recorder.events("sim.dispatch") == []
 
 
-def test_capture_sim_events_emits_dispatch_events():
-    obs = Observability(capture_sim_events=True)
-    sim = Simulator(obs=obs)
-    sim.process(_two_step_process(sim))
-    sim.run()
-    events = obs.recorder.events("sim.dispatch")
-    assert events, "expected one event per dispatched simulator event"
-    assert all("event" in e["attrs"] for e in events)
-    assert events[0]["sim_ms"] == 0.0  # process start dispatches at t=0
-
-
-def test_legacy_trace_shim_mirrors_dispatches():
-    sim = Simulator()  # NULL_OBS: tracing off, shim still works
-    sim.trace = []
-    sim.process(_two_step_process(sim))
-    sim.run()
-    assert sim.trace, "legacy trace list must still be populated"
-    times = [t for t, _label in sim.trace]
-    assert times == sorted(times)
-    assert all(isinstance(label, str) for _t, label in sim.trace)
-
-
-def test_shim_and_tracer_agree():
-    obs = Observability(capture_sim_events=True)
-    sim = Simulator(obs=obs)
-    sim.trace = []
-    sim.process(_two_step_process(sim))
-    sim.run()
-    shim_labels = [label for _t, label in sim.trace]
-    tracer_labels = [e["attrs"]["event"] for e in obs.recorder.events("sim.dispatch")]
-    assert shim_labels == tracer_labels
-
-
 def test_default_simulator_has_no_observability_overhead_paths():
     sim = Simulator()
     assert sim._evt_counter is None
-    assert not sim._capture_events

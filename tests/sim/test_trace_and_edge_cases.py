@@ -1,4 +1,4 @@
-"""Simulator trace support and remaining kernel edge cases."""
+"""Dispatch-order tracing and remaining kernel edge cases."""
 
 import pytest
 
@@ -6,19 +6,26 @@ from repro.sim import AnyOf, Event, SimulationError, Simulator
 
 
 def test_trace_records_dispatched_events():
+    """A process that records ``sim.now`` at each resumption sees the
+    clock move forward in dispatch order."""
     sim = Simulator()
-    sim.trace = []
+    times = []
 
     def proc():
+        times.append(sim.now)
         yield sim.timeout(5)
+        times.append(sim.now)
         yield sim.timeout(3)
+        times.append(sim.now)
+
+    def other():
+        yield sim.timeout(6)
+        times.append(sim.now)
 
     sim.process(proc())
+    sim.process(other())
     sim.run()
-    times = [t for t, _ in sim.trace]
-    assert times == sorted(times)
-    assert times[-1] == 8.0
-    assert len(sim.trace) >= 3  # boot + two timeouts
+    assert times == [0.0, 5.0, 6.0, 8.0]
 
 
 def test_run_is_not_reentrant():
